@@ -611,6 +611,15 @@ void RudpConnection::deliver(RecvBuffer::Result& result) {
 
 void RudpConnection::on_ack(const Segment& seg) {
   ++stats_.acks_received;
+  const Seq ref = send_buf_.lowest_or(next_seq_);
+  const Seq cum = unwrap(seg.cum_ack, ref);
+  // A genuine peer never acknowledges a seq that was not sent. Honouring
+  // such an ack would retire in-flight data the peer never received, and
+  // it would never be retransmitted; drop the whole segment instead.
+  if (cum > next_seq_) {
+    ++stats_.acks_rejected;
+    return;
+  }
   if (seg.rwnd_packets > 0) peer_rwnd_ = seg.rwnd_packets;
 
   const TimePoint now = wire_.executor().now();
@@ -621,10 +630,11 @@ void RudpConnection::on_ack(const Segment& seg) {
     active_cc()->set_srtt(rtt_.srtt());
   }
 
-  const Seq ref = send_buf_.lowest_or(next_seq_);
-  const Seq cum = unwrap(seg.cum_ack, ref);
   iq::InlineVec<Seq, 16> eacks;
-  for (WireSeq e : seg.eacks) eacks.push_back(unwrap(e, cum));
+  for (WireSeq e : seg.eacks) {
+    const Seq s = unwrap(e, cum);
+    if (s < next_seq_) eacks.push_back(s);  // unsent seqs are never evidence
+  }
 
   // Skips the peer's cumulative ack has passed are settled; if the peer is
   // stuck exactly on a skipped sequence, the ADVANCE was lost — resend it

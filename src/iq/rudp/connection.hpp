@@ -126,6 +126,7 @@ struct RudpStats {
   std::uint64_t timeouts = 0;
   std::uint64_t acks_sent = 0;
   std::uint64_t acks_received = 0;
+  std::uint64_t acks_rejected = 0;          ///< cum ack beyond anything sent
   std::uint64_t advances_sent = 0;
   std::uint64_t nuls_sent = 0;
   std::int64_t payload_bytes_sent = 0;

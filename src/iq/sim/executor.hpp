@@ -3,9 +3,10 @@
 //
 // The RUDP engine, congestion controllers and middleware never touch the
 // Simulator directly; they see an Executor. In simulation the Executor is the
-// Simulator itself (virtual time); over real sockets it is a poll-loop with a
-// timer heap (iq/wire/udp_wire). This is what lets one protocol engine run
-// both in the deterministic testbed and on a live network.
+// Simulator itself (virtual time); over real sockets it is an epoll loop with
+// a timerfd-armed timing wheel (iq/wire/udp_wire). This is what lets one
+// protocol engine run both in the deterministic testbed and on a live
+// network.
 
 #include <cstdint>
 

@@ -57,20 +57,16 @@ void ShardedSim::run_shard_window(Shard& sh, TimePoint end) {
   for (;;) {
     const TimePoint tp =
         sh.inbox.empty() ? TimePoint::max() : sh.inbox.front().due;
-    const TimePoint te = sh.sim.next_event_time();
-    if (tp >= end && te >= end) break;
-    if (tp <= te) {
-      // Canonical tie rule: parcels run before local events at the same
-      // timestamp, in (due, src_group, seq) order — placement-independent.
-      sh.sim.advance_to(tp);
-      std::pop_heap(sh.inbox.begin(), sh.inbox.end(), ParcelAfter{});
-      Parcel p = std::move(sh.inbox.back());
-      sh.inbox.pop_back();
-      ++sh.parcels_executed;
-      p.fn();
-    } else {
-      sh.sim.step();
-    }
+    // Canonical tie rule: parcels run before local events at the same
+    // timestamp, in (due, src_group, seq) order — placement-independent.
+    if (sh.sim.step_before(std::min(tp, end))) continue;
+    if (tp >= end) break;
+    sh.sim.advance_to(tp);
+    std::pop_heap(sh.inbox.begin(), sh.inbox.end(), ParcelAfter{});
+    Parcel p = std::move(sh.inbox.back());
+    sh.inbox.pop_back();
+    ++sh.parcels_executed;
+    p.fn();
   }
   sh.sim.advance_to(end);
 }

@@ -2,7 +2,7 @@
 // Real-socket backend: the identical RUDP engine over UDP on localhost.
 //
 // RealtimeLoop implements the Executor interface against the monotonic
-// clock with an epoll(7)-driven event loop and a timerfd-armed timer heap;
+// clock with an epoll(7)-driven event loop and a timerfd-armed timing wheel;
 // UdpWire encodes segments with the wire codec and moves them through an
 // actual AF_INET datagram socket in sendmmsg/recvmmsg batches. Used by the
 // loopback example, the integration tests, the two-process soak and

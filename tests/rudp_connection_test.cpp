@@ -350,5 +350,60 @@ TEST(RudpConnectionTest, StatsConsistency) {
   EXPECT_EQ(p.delivered.size(), 50u);
 }
 
+// Regression: on_ack unwrapped the cumulative ack and handed it to the send
+// buffer unchecked, so one forged ACK whose cum lay beyond anything sent
+// retired every in-flight marked segment. The peer never received them, they
+// were never retransmitted, and its in-order delivery wedged for good.
+TEST(RudpConnectionTest, AckBeyondAnythingSentIsRejected) {
+  wire::LossyConfig lcfg;
+  RudpConfig cfg;
+  cfg.initial_cwnd = 8.0;  // all four messages in flight at once
+  Pair p(lcfg, cfg);
+  p.run_ms(100);
+  ASSERT_TRUE(p.sender->established());
+
+  // The data dies on the wire, so only a retransmission can deliver it.
+  p.lossy->set_blackout(true);
+  for (int i = 0; i < 4; ++i) p.sender->send_message({.bytes = 1000});
+  p.run_ms(1);
+  p.lossy->set_blackout(false);
+  ASSERT_EQ(p.sender->inflight(), 4);
+  const RudpStats before = p.sender->stats();
+  const Seq next_seq = cfg.initial_seq + before.segments_sent;
+
+  // A well-formed ACK from the peer's side of the wire: cum 1000 past the
+  // next unsent seq, plus EACKs of seqs that were never sent.
+  Segment forged;
+  forged.type = SegmentType::Ack;
+  forged.conn_id = cfg.conn_id;
+  forged.cum_ack = to_wire(next_seq + 1000);
+  forged.eacks.push_back(to_wire(next_seq));
+  forged.eacks.push_back(to_wire(next_seq + 3));
+  p.lossy->b().send(forged);
+  p.run_ms(20);  // one-way delay, well short of the RTO
+
+  EXPECT_EQ(p.sender->inflight(), 4);
+  EXPECT_EQ(p.sender->stats().acks_rejected, before.acks_rejected + 1);
+  EXPECT_EQ(p.sender->stats().payload_bytes_acked, before.payload_bytes_acked);
+
+  // EACKs of unsent seqs riding on a valid cum are ignored too.
+  forged.cum_ack = to_wire(next_seq - 4);
+  p.lossy->b().send(forged);
+  p.run_ms(20);
+  EXPECT_EQ(p.sender->inflight(), 4);
+  EXPECT_EQ(p.sender->stats().payload_bytes_acked, before.payload_bytes_acked);
+
+  // Retransmission delivers every marked message exactly once, in order.
+  p.run_ms(10'000);
+  ASSERT_EQ(p.delivered.size(), 4u);
+  for (std::size_t i = 1; i < p.delivered.size(); ++i) {
+    EXPECT_GT(p.delivered[i].msg_id, p.delivered[i - 1].msg_id);
+  }
+  for (const DeliveredMessage& m : p.delivered) EXPECT_EQ(m.bytes, 1000);
+  EXPECT_EQ(p.sender->inflight(), 0);
+  EXPECT_EQ(p.sender->stats().payload_bytes_acked,
+            before.payload_bytes_acked + 4000);
+}
+
 }  // namespace
 }  // namespace iq::rudp
