@@ -67,9 +67,10 @@ cd "$(dirname "$0")/.."
 chaos_filter='^(GilbertElliottTest|FaultPlanTest|FaultInjectorTest|FailureTest|FaultMatrixTest|Seeds/Chaos)'
 
 # The congestion-manager matrix: apportionment unit + property suites, the
-# CM auditor, facade integration, the shared-destination fault rows, and
-# the CM-attached zero-allocation / metrics-export pins.
-cm_filter='^(ApportionTest|CongestionManagerTest|CmAuditorTest|CmIntegrationTest|Seeds/CmApportionProperty|FaultMatrixTest\.SharedDestination|ZeroAllocTest|MetricsExportTest|JainIndexTest)'
+# CM auditor, facade integration (wake-point contract included), the
+# shared-destination fault rows, the CM-attached zero-allocation /
+# metrics-export pins, and the city-scale CM runs with their golden digests.
+cm_filter='^(ApportionTest|CongestionManagerTest|CmAuditorTest|CmIntegrationTest|Seeds/CmApportionProperty|FaultMatrixTest\.SharedDestination|ZeroAllocTest|MetricsExportTest|JainIndexTest|CityScaleTest\.CongestionManager)'
 
 # The sharded-determinism matrix: engine lockstep/ordering units, the
 # city-scale scenario (shard counts 1/2/4/7, serial and threaded, inside

@@ -6,11 +6,25 @@
 
 namespace iq::cm {
 
-ApportionResult apportion(double aggregate, std::span<const double> weights,
-                          double floor, std::span<double> shares_out) {
-  IQ_CHECK(weights.size() == shares_out.size());
+double apportion_ratios(std::span<const double> weights,
+                        std::span<double> ratios_out) {
+  IQ_CHECK(weights.size() == ratios_out.size());
+  double total_w = 0.0;
+  for (double w : weights) total_w += std::max(w, 0.0);
+  if (total_w > 0.0) {
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      ratios_out[i] = std::max(weights[i], 0.0) / total_w;
+    }
+  }
+  return total_w;
+}
+
+ApportionResult apportion_split(double aggregate, double floor,
+                                double total_w, std::span<const double> ratios,
+                                std::span<double> shares_out, bool summarize) {
+  IQ_CHECK(ratios.size() == shares_out.size());
   ApportionResult r;
-  const std::size_t n = weights.size();
+  const std::size_t n = shares_out.size();
   if (n == 0) return r;
 
   const double nd = static_cast<double>(n);
@@ -24,35 +38,45 @@ ApportionResult apportion(double aggregate, std::span<const double> weights,
     return r;
   }
 
-  double total_w = 0.0;
-  for (double w : weights) total_w += std::max(w, 0.0);
   const double surplus = aggregate - floor * nd;
-  r.min_share = aggregate;  // running min below
   double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = std::max(weights[i], 0.0);
-    // total_w == 0 (all weights zero): the surplus splits equally.
-    const double extra = total_w > 0.0 ? surplus * (w / total_w) : surplus / nd;
-    shares_out[i] = floor + extra;
-    sum += shares_out[i];
-    r.min_share = std::min(r.min_share, shares_out[i]);
-  }
-  // Pin conservation tight: rounding drift in the proportional terms is
-  // absorbed by the largest share, then the result is re-summed so callers
-  // (and the auditor) see the true total, not the intended one.
-  const double drift = aggregate - sum;
-  if (drift != 0.0) {
-    auto largest = std::max_element(shares_out.begin(), shares_out.end());
-    *largest += drift;
-    sum = 0.0;
-    r.min_share = aggregate;
-    for (double s : shares_out) {
+  std::size_t largest = 0;
+  if (total_w > 0.0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double s = floor + surplus * ratios[i];
+      shares_out[i] = s;
       sum += s;
-      r.min_share = std::min(r.min_share, s);
+      if (shares_out[largest] < s) largest = i;
+    }
+  } else {
+    // All weights zero: the surplus splits equally.
+    const double s = floor + surplus / nd;
+    for (std::size_t i = 0; i < n; ++i) {
+      shares_out[i] = s;
+      sum += s;
     }
   }
-  r.sum = sum;
+  // Pin conservation tight: rounding drift in the proportional terms is
+  // absorbed by the (first) largest share.
+  const double drift = aggregate - sum;
+  if (drift != 0.0) shares_out[largest] += drift;
+  if (!summarize) return r;
+  // Re-sum so callers (and the auditor) see the true total, not the
+  // intended one. Without drift this repeats the running sum exactly.
+  r.min_share = aggregate;
+  for (double s : shares_out) {
+    r.sum += s;
+    r.min_share = std::min(r.min_share, s);
+  }
   return r;
+}
+
+ApportionResult apportion(double aggregate, std::span<const double> weights,
+                          double floor, std::span<double> shares_out) {
+  IQ_CHECK(weights.size() == shares_out.size());
+  // shares_out holds the ratios between the two steps.
+  const double total_w = apportion_ratios(weights, shares_out);
+  return apportion_split(aggregate, floor, total_w, shares_out, shares_out);
 }
 
 }  // namespace iq::cm

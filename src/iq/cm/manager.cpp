@@ -54,6 +54,12 @@ void FlowHandle::set_srtt(Duration srtt) { mgr_->on_flow_srtt(srtt); }
 
 double FlowHandle::max_cwnd() const { return mgr_->aggregate_max_cwnd(); }
 
+double FlowHandle::share() const { return mgr_->shares_[index_]; }
+
+double FlowHandle::wake_point() const { return mgr_->wake_[index_]; }
+
+void FlowHandle::set_wake_point(double window) { mgr_->wake_[index_] = window; }
+
 void FlowHandle::scale_window(double factor) {
   // Donation: the coordinator shrank (or grew) *this application's* demand,
   // not the path's capacity — so reweight the flow and let the freed window
@@ -87,11 +93,14 @@ CongestionManager::~CongestionManager() {
 FlowHandle* CongestionManager::register_flow(double weight) {
   if (!std::isfinite(weight) || weight < 0.0) weight = 0.0;
   auto flow = std::unique_ptr<FlowHandle>(
-      new FlowHandle(this, next_flow_id_++, weight));
+      new FlowHandle(this, next_flow_id_++, weight, flows_.size()));
   FlowHandle* ptr = flow.get();
   flows_.push_back(std::move(flow));
-  weights_scratch_.reserve(flows_.size());
-  shares_scratch_.reserve(flows_.size());
+  // A new flow holds no window yet and has not declared a wake point.
+  shares_.push_back(0.0);
+  wake_.push_back(0.0);
+  ratios_.reserve(flows_.size());
+  next_.reserve(flows_.size());
   ++stats_.flows_joined;
   audit_emit(audit::EventType::CmFlowJoin, ptr->id(), flows_.size(), 0, 0, 0,
              weight, 0.0, 0, /*record=*/true);
@@ -105,7 +114,11 @@ void CongestionManager::unregister_flow(FlowHandle* flow) {
       [flow](const std::unique_ptr<FlowHandle>& f) { return f.get() == flow; });
   IQ_CHECK_MSG(it != flows_.end(), "unregister_flow: unknown flow");
   const std::uint32_t id = flow->id();
+  const std::size_t k = flow->index_;
   flows_.erase(it);
+  shares_.erase(shares_.begin() + static_cast<std::ptrdiff_t>(k));
+  wake_.erase(wake_.begin() + static_cast<std::ptrdiff_t>(k));
+  for (std::size_t i = k; i < flows_.size(); ++i) flows_[i]->index_ = i;
   ++stats_.flows_left;
   audit_emit(audit::EventType::CmFlowLeave, id, flows_.size(), 0, 0, 0, 0.0,
              0.0, 0, /*record=*/true);
@@ -201,26 +214,37 @@ void CongestionManager::reapportion(ApportionCause cause, FlowHandle* exclude) {
                           cause == ApportionCause::Weight ||
                           cause == ApportionCause::Donation ||
                           cause == ApportionCause::Aggregate;
-  if (structural) ++stats_.apportion_changes;
-
   const std::size_t n = flows_.size();
-  weights_scratch_.resize(n);
-  shares_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    weights_scratch_[i] = flows_[i]->weight_;
+  next_.resize(n);
+  if (structural) {
+    ++stats_.apportion_changes;
+    // Weights only change here; every later ack reuses these ratios. The
+    // weights are staged in next_, which the split below overwrites.
+    ratios_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) next_[i] = flows_[i]->weight_;
+    total_w_ = apportion_ratios(next_, ratios_);
   }
   const ApportionResult r =
-      apportion(cc_->cwnd(), weights_scratch_, cfg_.share_floor,
-                shares_scratch_);
+      apportion_split(cc_->cwnd(), cfg_.share_floor, total_w_, ratios_,
+                      next_, /*summarize=*/auditor_ != nullptr);
 
   // Apply every share before notifying anyone, so a listener that pumps
-  // observes a fully consistent apportionment.
+  // observes a fully consistent apportionment. A flow is woken when its
+  // share grew and reached its wake point; any smaller growth leaves its
+  // connection's pump with nothing to send. The triggering flow is
+  // mid-event inside its own connection (which pumps on its return path),
+  // so it is skipped. The old shares are not needed past the comparison,
+  // so their slots take the wake flags; the swap then leaves the new
+  // shares in shares_ and the flags in next_.
+  const std::size_t skip = exclude != nullptr ? exclude->index_ : n;
+  bool wake_any = false;
   for (std::size_t i = 0; i < n; ++i) {
-    const double prev = flows_[i]->share_;
-    flows_[i]->share_ = shares_scratch_[i];
-    // Stash "grew" in the weight scratch slot — no longer needed this pass.
-    weights_scratch_[i] = (shares_scratch_[i] > prev) ? 1.0 : 0.0;
+    const double share = next_[i];
+    const bool wake = share > shares_[i] && share >= wake_[i] && i != skip;
+    shares_[i] = wake ? 1.0 : 0.0;
+    wake_any = wake_any || wake;
   }
+  shares_.swap(next_);
 
   if (auditor_) {
     const bool record = cause != ApportionCause::Ack;
@@ -230,13 +254,10 @@ void CongestionManager::reapportion(ApportionCause cause, FlowHandle* exclude) {
                r.sum, cc_->cwnd(), static_cast<std::uint8_t>(cause), record);
   }
 
-  // Notify flows whose share grew — their connection may have been window
-  // limited and should pump now. The triggering flow is mid-event inside
-  // its own connection (which pumps on its return path), so skip it.
+  if (!wake_any) return;
   for (std::size_t i = 0; i < n; ++i) {
     FlowHandle* f = flows_[i].get();
-    if (f == exclude || weights_scratch_[i] == 0.0) continue;
-    if (f->on_share_) f->on_share_();
+    if (next_[i] != 0.0 && f->on_share_) f->on_share_();
   }
 }
 

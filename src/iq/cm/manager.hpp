@@ -27,7 +27,11 @@
 // Re-apportionment is instant on every join/leave/weight change/aggregate
 // mutation, O(flows) and allocation-free in steady state (scratch arrays
 // are grown only at registration; zero_alloc_test pins this with a CM
-// attached). Single-threaded, like the rest of the stack.
+// attached). Per-flow weight ratios are cached at those structural events,
+// so the per-ack recompute is one multiply-add pass. A flow whose share
+// grows is woken only once the share reaches the window its connection
+// declared it needs (CongestionController::set_wake_point). Single-threaded,
+// like the rest of the stack.
 
 #include <cstdint>
 #include <functional>
@@ -73,7 +77,7 @@ class FlowHandle final : public rudp::CongestionController {
   void on_epoch(double loss_ratio, TimePoint now) override;
   void set_srtt(Duration srtt) override;
   /// The flow's current share of the aggregate window.
-  double cwnd() const override { return share_; }
+  double cwnd() const override { return share(); }
   /// Donation semantics: reweight this flow, aggregate untouched.
   void scale_window(double factor) override;
   /// A share may legitimately drop toward zero when many siblings exceed
@@ -81,32 +85,40 @@ class FlowHandle final : public rudp::CongestionController {
   double min_cwnd() const override { return 0.0; }
   double max_cwnd() const override;
   std::string name() const override { return "cm-flow"; }
+  /// The share the connection needs before a wake-up can make it send.
+  void set_wake_point(double window) override;
 
   std::uint32_t id() const { return id_; }
   double weight() const { return weight_; }
   /// Set the priority weight directly (the attr-layer path arrives here via
   /// the coordinator parsing FLOW_PRIORITY). Re-apportions immediately.
   void set_weight(double w);
-  double share() const { return share_; }
+  double share() const;
+  double wake_point() const;
   CongestionManager& manager() { return *mgr_; }
   const CongestionManager& manager() const { return *mgr_; }
 
   /// Fires when this flow's share *grows* because of someone else's event
-  /// (a sibling left, donated, or the aggregate was rescaled) — the
-  /// connection hooks RudpConnection::window_updated() here so freed window
-  /// is filled immediately instead of on the next ack.
+  /// (a sibling left, donated, acked, or the aggregate was rescaled) and
+  /// has reached the wake point — the connection hooks
+  /// RudpConnection::window_updated() here so freed window is filled
+  /// immediately instead of on the next ack. A flow that never declared a
+  /// wake point (0) hears every growth.
   using ShareListener = std::function<void()>;
   void set_share_listener(ShareListener fn) { on_share_ = std::move(fn); }
 
  private:
   friend class CongestionManager;
-  FlowHandle(CongestionManager* mgr, std::uint32_t id, double weight)
-      : mgr_(mgr), id_(id), weight_(weight) {}
+  FlowHandle(CongestionManager* mgr, std::uint32_t id, double weight,
+             std::size_t index)
+      : mgr_(mgr), id_(id), weight_(weight), index_(index) {}
 
   CongestionManager* mgr_;
   std::uint32_t id_;
   double weight_;
-  double share_ = 0.0;
+  /// Position in the manager's flows_ and per-flow arrays, which hold this
+  /// flow's share and wake point.
+  std::size_t index_;
   ShareListener on_share_;
 };
 
@@ -193,8 +205,8 @@ class CongestionManager {
 
   Duration dedup_window() const;
   /// Recompute every share from the current aggregate and weights, then
-  /// notify grown flows (except `exclude`, whose connection is mid-event
-  /// and pumps on its own return path).
+  /// notify flows that grew to their wake point (except `exclude`, whose
+  /// connection is mid-event and pumps on its own return path).
   void reapportion(ApportionCause cause, FlowHandle* exclude);
   void audit_emit(audit::EventType type, std::uint64_t seq, std::uint64_t a,
                   std::uint64_t b, std::uint64_t c, std::uint64_t d,
@@ -208,10 +220,16 @@ class CongestionManager {
   std::vector<std::unique_ptr<FlowHandle>> flows_;
   std::uint32_t next_flow_id_ = 1;
 
-  // Apportionment scratch — reserved at registration so the per-ack
-  // recompute never allocates.
-  std::vector<double> weights_scratch_;
-  std::vector<double> shares_scratch_;
+  // Per-flow state in flows_ order, contiguous so the per-ack pass never
+  // leaves these arrays — reserved at registration so it never allocates.
+  // ratios_/total_w_ are apportion_ratios() of the weights, refreshed at
+  // structural events only. shares_ and wake_ back FlowHandle::share() and
+  // set_wake_point(); next_ is the scratch the split writes into.
+  std::vector<double> ratios_;
+  double total_w_ = 0.0;
+  std::vector<double> shares_;
+  std::vector<double> wake_;
+  std::vector<double> next_;
 
   // Loss/timeout dedup clock.
   bool penalty_seen_ = false;

@@ -9,7 +9,7 @@ namespace iq::net {
 
 Node& Network::add_node(const std::string& name) {
   const NodeId id = node_id_base_ + static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<Node>(id, name));
+  nodes_.push_back(std::make_unique<Node>(id, name, node_id_base_));
   return *nodes_.back();
 }
 

@@ -7,7 +7,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "iq/net/link.hpp"
 #include "iq/net/packet.hpp"
@@ -16,7 +17,10 @@ namespace iq::net {
 
 class Node final : public PacketSink {
  public:
-  Node(NodeId id, std::string name) : id_(id), name_(std::move(name)) {}
+  /// `id_base` is the first node id of the owning Network; routes to ids
+  /// from there on are looked up by index.
+  Node(NodeId id, std::string name, NodeId id_base)
+      : id_(id), name_(std::move(name)), id_base_(id_base) {}
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -49,10 +53,21 @@ class Node final : public PacketSink {
  private:
   void route_or_drop(PacketPtr packet);
 
+  /// Routes to ids this far past id_base_ or more (another shard's nodes,
+  /// reached through a portal) go to far_routes_ instead of the table.
+  static constexpr NodeId kMaxTableRoutes = 1u << 16;
+
   NodeId id_;
   std::string name_;
-  std::unordered_map<std::uint16_t, PacketSink*> ports_;
-  std::unordered_map<NodeId, Link*> routes_;
+  NodeId id_base_;
+  /// Bound sinks by port − port_base_ (nullptr: unbound). Hosts bind a
+  /// handful of nearby ports, so the span stays small.
+  std::vector<PacketSink*> ports_;
+  std::uint16_t port_base_ = 0;
+  /// Next hop by dst − id_base_ (nullptr: no route).
+  std::vector<Link*> routes_;
+  /// Next hop for ids outside the table, sorted by id.
+  std::vector<std::pair<NodeId, Link*>> far_routes_;
   Link* default_route_ = nullptr;
   std::uint64_t forwarded_ = 0;
   std::uint64_t delivered_local_ = 0;

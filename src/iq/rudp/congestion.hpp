@@ -20,12 +20,17 @@
 // All controllers expose scale_window(), the hook the IQ coordinator uses to
 // re-adapt the transport after an application adaptation (§3.4, §3.5).
 
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "iq/common/time.hpp"
 
 namespace iq::rudp {
+
+/// CongestionController::set_wake_point() value meaning "no window would
+/// let the connection send".
+inline constexpr double kNoWake = std::numeric_limits<double>::infinity();
 
 class CongestionController {
  public:
@@ -54,6 +59,32 @@ class CongestionController {
   virtual double max_cwnd() const = 0;
 
   virtual std::string name() const = 0;
+
+  /// Wake point: the smallest window at which the connection's send loop
+  /// (RudpConnection::pump) would send again. inflight+1 when the window
+  /// is full; +∞ when no window would help (nothing pending, or the peer's
+  /// receive window is the limit); 0 ("wake me on any growth") before the
+  /// first call and while the connection cannot tell. Only a controller
+  /// plugged in through set_external_congestion() is told, and only when
+  /// the value changes; the congestion manager uses it to skip
+  /// share-growth wake-ups whose pump would send nothing.
+  ///
+  /// That skip is exact because every other way the send loop can unblock
+  /// pumps by itself or re-arms the wake point to 0:
+  ///  * inflight falls only in on_ack (cumulative/selective acks, skipped
+  ///    losses) and on_rto (skipped losses); both end in pump();
+  ///  * peer_rwnd_ rises only in on_ack, which has no early return after it
+  ///    and ends in pump();
+  ///  * data enters pending_ only in send_message, which pumps;
+  ///    set_max_pending_segments can empty it without a pump, so it re-arms
+  ///    (pump() is the only writer of the window_limited_ flag that on_ack
+  ///    reads, and a skipped pump must not leave it stale);
+  ///  * the connection becomes Established in on_syn_ack, which pumps, and
+  ///    in on_syn, which re-arms;
+  ///  * its own window moves (scale_congestion_window, set_external_
+  ///    congestion, on_epoch_report, acks, losses, timeouts) on paths that
+  ///    pump.
+  virtual void set_wake_point(double /*window*/) {}
 };
 
 struct LdaConfig {

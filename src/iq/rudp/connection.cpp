@@ -210,6 +210,8 @@ Duration RudpConnection::keepalive_interval() const {
 void RudpConnection::become_established() {
   if (state_ == ConnState::Established) return;
   state_ = ConnState::Established;
+  // on_syn establishes without pumping: whatever is pending may now send.
+  set_wake_point(0.0);
   audit_emit(audit::EventType::Established);
   if (!cfg_.keepalive.is_zero()) keepalive_timer_.start(keepalive_interval());
   if (on_established_) on_established_();
@@ -263,6 +265,9 @@ RudpConnection::SendResult RudpConnection::send_message(
 void RudpConnection::set_max_pending_segments(std::size_t limit) {
   cfg_.max_pending_segments = limit;
   shed_pending();
+  // Shedding can empty pending_ without a pump; the next pump must not be
+  // skipped, it resets window_limited_.
+  set_wake_point(0.0);
 }
 
 void RudpConnection::shed_pending() {
@@ -293,13 +298,17 @@ void RudpConnection::pump() {
   for (;;) {
     if (pending_.empty()) {
       window_limited_ = false;
+      set_wake_point(kNoWake);
       return;
     }
     const int wnd = std::max(1, static_cast<int>(active_cc()->cwnd()));
-    const int limit = std::min<int>(wnd, static_cast<int>(
-                                             std::max(1u, peer_rwnd_)));
-    if (send_buf_.inflight() >= limit) {
+    const int rwnd = static_cast<int>(std::max(1u, peer_rwnd_));
+    const int inflight = send_buf_.inflight();
+    if (inflight >= std::min(wnd, rwnd)) {
       window_limited_ = true;
+      // A window of inflight+1 packets lets the next segment out, unless
+      // the peer's receive window holds it back whatever the window.
+      set_wake_point(inflight >= rwnd ? kNoWake : inflight + 1.0);
       return;
     }
     PendingSegment p = std::move(pending_.front());
@@ -323,6 +332,12 @@ void RudpConnection::pump() {
                                          (o.fec ? 2 : 0)));
     transmit(*send_buf_.find(o.seq), /*retransmission=*/false);
   }
+}
+
+void RudpConnection::set_wake_point(double window) {
+  if (ext_cc_ == nullptr || window == wake_point_) return;
+  wake_point_ = window;
+  ext_cc_->set_wake_point(window);
 }
 
 void RudpConnection::transmit(Outstanding& o, bool retransmission) {
@@ -558,6 +573,7 @@ void RudpConnection::on_advance(const Segment& seg) {
                                          s.msg_id, s.frag_count});
   }
   recv_buf_.on_skip(skips, wire_.executor().now(), recv_scratch_);
+  stats_.skips_rejected += recv_scratch_.skips_rejected;
   deliver(recv_scratch_);
   send_ack(seg.ts_us);
 }
@@ -841,6 +857,9 @@ void RudpConnection::scale_congestion_window(double factor) {
 
 void RudpConnection::set_external_congestion(CongestionController* external) {
   ext_cc_ = external;
+  // A controller starts out with no wake point (0); the pump below
+  // declares the real one.
+  wake_point_ = 0.0;
   // The auditor's cwnd bounds must follow the controller in charge: a CM
   // flow's share may legitimately sit below the built-in controller's
   // minimum (its min_cwnd() is 0) and above it up to the aggregate maximum.

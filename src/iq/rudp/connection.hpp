@@ -128,6 +128,7 @@ struct RudpStats {
   std::uint64_t acks_received = 0;
   std::uint64_t acks_rejected = 0;          ///< cum ack beyond anything sent
   std::uint64_t advances_sent = 0;
+  std::uint64_t skips_rejected = 0;         ///< ADVANCE seqs beyond rwnd
   std::uint64_t nuls_sent = 0;
   std::int64_t payload_bytes_sent = 0;
   std::int64_t payload_bytes_acked = 0;
@@ -297,6 +298,9 @@ class RudpConnection {
   // Outbound helpers.
   void emit(Segment&& seg);
   void pump();
+  /// Tell an external controller the window pump() next needs, when it
+  /// changed (CongestionController::set_wake_point).
+  void set_wake_point(double window);
   void transmit(Outstanding& o, bool retransmission);
   void send_ack(std::uint64_t ts_echo_us);
   void send_advance(std::span<const SkippedSeq> skipped);
@@ -382,6 +386,8 @@ class RudpConnection {
   std::uint32_t next_msg_id_ = 1;
   std::uint32_t peer_rwnd_ = 4096;
   bool window_limited_ = false;
+  /// Last value given to set_wake_point(); meaningful only with ext_cc_.
+  double wake_point_ = 0.0;
   bool discard_unmarked_ = false;
   int connect_attempts_ = 0;
   FailureReason failure_reason_ = FailureReason::None;

@@ -12,6 +12,7 @@ void RecvBuffer::Result::reset() {
   dropped_messages = 0;
   duplicate = false;
   advanced = false;
+  skips_rejected = 0;
 }
 
 RecvBuffer::Result RecvBuffer::on_data(const RecvSegment& seg, TimePoint now) {
@@ -50,6 +51,14 @@ void RecvBuffer::on_skip(std::span<const SkipInfo> skipped, TimePoint now,
   out.reset();
   for (const SkipInfo& info : skipped) {
     if (info.seq < cum_ || buffered_.contains(info.seq)) continue;  // resolved
+    if (info.seq - cum_ >= max_buffered_) {
+      // Beyond any window this receiver advertised: a genuine sender
+      // cannot have sent it, and honouring it would let a peer grow
+      // skip_pending_ without bound. A real skip there is re-advertised
+      // once the cumulative point reaches it.
+      ++out.skips_rejected;
+      continue;
+    }
     skip_pending_[info.seq] = info;
   }
   advance(out, now);

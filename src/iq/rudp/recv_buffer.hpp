@@ -41,6 +41,9 @@ class RecvBuffer {
     std::uint32_t dropped_messages = 0;
     bool duplicate = false;
     bool advanced = false;   ///< cumulative point moved
+    /// on_skip only: skips ignored for lying at or beyond cum() plus the
+    /// receive window.
+    std::uint32_t skips_rejected = 0;
 
     /// Clear for reuse. `delivered` keeps its capacity, so a caller that
     /// passes the same Result to every on_data/on_skip call stops

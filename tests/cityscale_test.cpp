@@ -86,6 +86,41 @@ TEST(CityScaleTest, CongestionManagerVariantIsDeterministic) {
   EXPECT_EQ(r.digest, base.digest);
 }
 
+// Golden pins for the congestion-manager path: 640 flows under 4 per-site
+// managers. The shard-identity checks above compare a run with itself at
+// another shard count, so only a fixed digest catches a change in what the
+// managers do (share apportionment, wake-ups of window-limited flows).
+CityScaleConfig cm_golden_cfg() {
+  CityScaleConfig cfg;
+  cfg.sites = 4;
+  cfg.subs_per_site = 160;
+  cfg.attach_cm = true;
+  cfg.sim_time = Duration::seconds(2);
+  cfg.drain_time = Duration::seconds(1);
+  return cfg;
+}
+
+TEST(CityScaleTest, CongestionManagerGoldenDigest) {
+  CityScaleConfig cfg = cm_golden_cfg();
+  for (const std::size_t shards : {1u, 4u}) {
+    cfg.shards = shards;
+    cfg.threaded = shards > 1;
+    const CityScaleResult r = run_cityscale(cfg);
+    EXPECT_EQ(r.digest, 0x5be347f05861282bull) << "shards=" << shards;
+    EXPECT_EQ(r.events_executed, 146'229u) << "shards=" << shards;
+    EXPECT_EQ(r.fanout_delivered, 5'701u) << "shards=" << shards;
+  }
+}
+
+TEST(CityScaleTest, CongestionManagerOverloadedGoldenDigest) {
+  CityScaleConfig cfg = cm_golden_cfg();
+  cfg.publisher_fps = 30.0;
+  cfg.bytes_per_member = 600;
+  const CityScaleResult r = run_cityscale(cfg);
+  EXPECT_EQ(r.digest, 0x821cf34c20ef36c2ull);
+  EXPECT_EQ(r.events_executed, 292'670u);
+}
+
 TEST(CityScaleTest, OverloadedAdaptationPathIsDeterministic) {
   // Push the slow access links past saturation so losses trigger the
   // error-ratio callbacks and resolution policies actually shrink — the

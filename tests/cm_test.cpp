@@ -131,14 +131,60 @@ TEST(CongestionManagerTest, LeaveReturnsShareToSiblings) {
   FlowHandle* b = mgr.register_flow();
   FlowHandle* c = mgr.register_flow();
   EXPECT_DOUBLE_EQ(a->share(), 10.0);
+  // Both survivors wait for more window: a can send at 15 packets, c only
+  // at 16.
+  a->set_wake_point(15.0);
+  c->set_wake_point(16.0);
   int a_notified = 0;
+  int c_notified = 0;
   a->set_share_listener([&] { ++a_notified; });
+  c->set_share_listener([&] { ++c_notified; });
   mgr.unregister_flow(b);
   EXPECT_DOUBLE_EQ(a->share(), 15.0);
   EXPECT_DOUBLE_EQ(c->share(), 15.0);
-  EXPECT_EQ(a_notified, 1);  // grew → notified
+  EXPECT_EQ(a_notified, 1);  // grew to its wake point → notified
+  EXPECT_EQ(c_notified, 0);  // grew, but still short of it
   mgr.unregister_flow(a);
   mgr.unregister_flow(c);
+}
+
+TEST(CongestionManagerTest, FlowNotWaitingIsNeverNotified) {
+  CongestionManager mgr(small_cm(32.0));
+  FlowHandle* idle = mgr.register_flow();
+  FlowHandle* busy = mgr.register_flow();
+  FlowHandle* leaver = mgr.register_flow();
+  idle->set_wake_point(rudp::kNoWake);  // nothing pending
+  int notified = 0;
+  idle->set_share_listener([&] { ++notified; });
+  mgr.unregister_flow(leaver);      // leave
+  busy->scale_window(0.25);         // donation
+  mgr.scale_aggregate(4.0);         // aggregate rescale
+  busy->on_ack(4, at_ms(10));       // a sibling's ack
+  EXPECT_GT(idle->share(), 16.0);
+  EXPECT_EQ(notified, 0);
+  mgr.unregister_flow(idle);
+  mgr.unregister_flow(busy);
+}
+
+TEST(CongestionManagerTest, WaitingFlowIsNotifiedWhenShareReachesWakePoint) {
+  CongestionManager mgr(small_cm(8.0));
+  FlowHandle* a = mgr.register_flow();
+  FlowHandle* b = mgr.register_flow();
+  a->set_wake_point(5.0);
+  int notified = 0;
+  a->set_share_listener([&] { ++notified; });
+  mgr.scale_aggregate(1.125);  // 9: share 4.5, below the wake point
+  EXPECT_DOUBLE_EQ(a->share(), 4.5);
+  EXPECT_EQ(notified, 0);
+  mgr.scale_aggregate(0.5);    // 4.5: shrinking never notifies
+  EXPECT_EQ(notified, 0);
+  mgr.scale_aggregate(2.25);   // 10.125: share 5.0625 reaches it
+  EXPECT_DOUBLE_EQ(a->share(), 5.0625);
+  EXPECT_EQ(notified, 1);
+  mgr.scale_aggregate(1.0);    // no growth, no notification
+  EXPECT_EQ(notified, 1);
+  mgr.unregister_flow(a);
+  mgr.unregister_flow(b);
 }
 
 TEST(CongestionManagerTest, ApportionChangesCountsStructuralOnly) {
@@ -393,6 +439,71 @@ TEST(CmIntegrationTest, ConnectionWindowIsTheApportionedShare) {
   EXPECT_NEAR(fa->share() + fb->share(), p.mgr.aggregate_cwnd(), 1e-9);
   p.snd_a->detach_cm();
   p.snd_b->detach_cm();
+}
+
+TEST(CmIntegrationTest, ConnectionWakesOnlyAtInflightPlusOne) {
+  CmPair p;
+  FlowHandle* fa = p.snd_a->attach_cm(p.mgr);
+  FlowHandle* fb = p.snd_b->attach_cm(p.mgr);
+  EXPECT_EQ(fa->wake_point(), rudp::kNoWake);  // nothing pending yet
+  int a_woken = 0;
+  int b_woken = 0;
+  fa->set_share_listener([&] {
+    ++a_woken;
+    p.snd_a->transport().window_updated();
+  });
+  fb->set_share_listener([&] {
+    ++b_woken;
+    p.snd_b->transport().window_updated();
+  });
+
+  for (int i = 0; i < 20; ++i) p.snd_a->send({.bytes = 1000});
+  const rudp::RudpConnection& a = p.snd_a->transport();
+  ASSERT_EQ(a.inflight(), 4);  // the whole share of 4
+  EXPECT_EQ(fa->wake_point(), 5.0);
+
+  p.mgr.scale_aggregate(1.125);  // aggregate 9: share 4.5
+  EXPECT_EQ(a_woken, 0);
+  EXPECT_EQ(a.inflight(), 4);
+  p.mgr.scale_aggregate(1.125);  // aggregate 10.125: share 5.0625
+  EXPECT_EQ(a_woken, 1);
+  EXPECT_EQ(a.inflight(), 5);  // the wake-up sent exactly one more
+  EXPECT_EQ(fa->wake_point(), 6.0);
+  EXPECT_EQ(b_woken, 0);  // b has nothing to send
+  p.snd_a->detach_cm();
+  p.snd_b->detach_cm();
+}
+
+TEST(CmIntegrationTest, ReceiveWindowLimitedFlowIsNeverWoken) {
+  sim::Simulator sim;
+  wire::DirectWirePair wires(sim, Duration::millis(15));
+  CongestionManager mgr(small_cm(8.0));
+  rudp::RudpConfig cfg;
+  rudp::RudpConfig rcv_cfg;
+  rcv_cfg.recv_window_packets = 2;  // the receiver advertises 2 packets
+  core::IqRudpConnection snd(wires.a(), cfg, rudp::Role::Client);
+  core::IqRudpConnection rcv(wires.b(), rcv_cfg, rudp::Role::Server);
+  rcv.listen();
+  snd.connect();
+  sim.run_until(at_ms(200));
+
+  FlowHandle* flow = snd.attach_cm(mgr);
+  int woken = 0;
+  flow->set_share_listener([&] {
+    ++woken;
+    snd.transport().window_updated();
+  });
+  for (int i = 0; i < 40; ++i) snd.send({.bytes = 1000});
+  sim.run_until(at_ms(300));  // acks carrying the 2-packet window are in
+  ASSERT_GT(snd.transport().queued_segments(), 0u);
+  EXPECT_EQ(snd.transport().inflight(), 2);
+  EXPECT_EQ(flow->wake_point(), rudp::kNoWake);
+
+  mgr.scale_aggregate(4.0);
+  EXPECT_GT(flow->share(), 8.0);
+  EXPECT_EQ(woken, 0);
+  EXPECT_EQ(snd.transport().inflight(), 2);
+  snd.detach_cm();
 }
 
 TEST(CmIntegrationTest, DetachRestoresBuiltInController) {

@@ -405,5 +405,36 @@ TEST(RudpConnectionTest, AckBeyondAnythingSentIsRejected) {
             before.payload_bytes_acked + 4000);
 }
 
+// Regression: an ADVANCE naming seqs far beyond the receive window was
+// stored whole, so a peer could grow the receiver's skip state without
+// bound. Such skips are now counted and dropped; real traffic is unharmed.
+TEST(RudpConnectionTest, AdvanceBeyondReceiveWindowIsRejected) {
+  wire::LossyConfig lcfg;
+  RudpConfig cfg;
+  cfg.recv_window_packets = 64;
+  Pair p(lcfg, cfg, cfg);
+  p.run_ms(100);
+  ASSERT_TRUE(p.receiver->established());
+
+  const Seq cum = cfg.initial_seq;  // nothing delivered yet
+  Segment forged;
+  forged.type = SegmentType::Advance;
+  forged.conn_id = cfg.conn_id;
+  for (Seq s = cum + 64; s < cum + 64 + 8; ++s) {
+    forged.skipped.push_back(SkippedSeq{to_wire(s), 500, 1});
+  }
+  for (int i = 0; i < 100; ++i) {
+    p.lossy->a().send(forged);
+    p.run_ms(1);
+  }
+  p.run_ms(100);  // the last ones are still on the wire
+  EXPECT_EQ(p.receiver->stats().skips_rejected, 800u);
+
+  for (int i = 0; i < 80; ++i) p.sender->send_message({.bytes = 1000});
+  p.run_ms(10'000);
+  EXPECT_EQ(p.delivered.size(), 80u);
+  EXPECT_EQ(p.receiver->stats().messages_dropped, 0u);
+}
+
 }  // namespace
 }  // namespace iq::rudp

@@ -403,6 +403,24 @@ TEST(RecvBufferTest, DuplicateDetection) {
   EXPECT_EQ(buf.duplicates(), 2u);
 }
 
+// Regression: on_skip stored every ADVANCE seq it was handed, so one peer
+// could grow skip_pending_ without bound by naming seqs far ahead.
+TEST(RecvBufferTest, SkipBeyondReceiveWindowIsRejected) {
+  RecvBuffer buf(/*max_buffered_packets=*/16, /*initial_seq=*/1);
+  std::vector<RecvBuffer::SkipInfo> skips;
+  for (Seq s = 17; s < 1017; ++s) skips.push_back({s, 100, 1});
+  skips.push_back({16, 16, 1});  // the last seq inside the window
+  auto r = buf.on_skip(skips, at_ms(1));
+  EXPECT_EQ(r.skips_rejected, 1000u);
+  EXPECT_FALSE(buf.has(17));
+  EXPECT_FALSE(buf.has(1016));
+  EXPECT_TRUE(buf.has(16));
+  EXPECT_EQ(buf.cum(), 1u);
+  // A later ADVANCE repeats the reset count, not the running total.
+  const std::vector<RecvBuffer::SkipInfo> near{{2, 2, 1}};
+  EXPECT_EQ(buf.on_skip(near, at_ms(2)).skips_rejected, 0u);
+}
+
 TEST(RecvBufferTest, SkipAdvancesAndDropsMessage) {
   RecvBuffer buf;
   buf.on_data(rseg(2, 2, 0, 1), at_ms(1));  // out of order
