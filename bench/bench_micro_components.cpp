@@ -1,4 +1,4 @@
-// Google-benchmark microbenchmarks for the hot components: event queue,
+// Google-benchmark microbenchmarks for the hot components: timer wheel,
 // link pipeline, segment codec, attribute lists, congestion controllers.
 // These guard the simulator's capacity to run multi-million-event
 // experiments in seconds.
@@ -12,25 +12,12 @@
 #include "iq/net/sinks.hpp"
 #include "iq/rudp/codec.hpp"
 #include "iq/rudp/congestion.hpp"
-#include "iq/sim/event_queue.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/sim/timer_wheel.hpp"
 
 namespace {
 
 using namespace iq;
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    for (int i = 0; i < state.range(0); ++i) {
-      q.schedule(TimePoint::from_ns(i * 7919 % 1000), [] {});
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
 void BM_TimerWheelScheduleAndPop(benchmark::State& state) {
   for (auto _ : state) {
@@ -44,13 +31,12 @@ void BM_TimerWheelScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerWheelScheduleAndPop)->Arg(1024)->Arg(16384);
 
-/// The retransmission-timer mix both schedulers must serve: a standing
-/// population of armed timers, each op a cancel + reschedule, almost no
-/// fires. Arg = live-timer count (1k and 10k, the CityScale regime).
-template <typename Queue>
+/// The retransmission-timer mix: a standing population of armed timers,
+/// each op a cancel + reschedule, almost no fires. Arg = live-timer count
+/// (1k and 10k, the CityScale regime).
 void BM_SchedCancelChurn(benchmark::State& state) {
   const auto live = static_cast<std::size_t>(state.range(0));
-  Queue q;
+  sim::TimerWheel q;
   std::vector<sim::EventId> ids(live, 0);
   std::int64_t t = 0;
   std::uint64_t ops = 0;
@@ -66,8 +52,7 @@ void BM_SchedCancelChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
-BENCHMARK(BM_SchedCancelChurn<sim::EventQueue>)->Arg(1024)->Arg(10240);
-BENCHMARK(BM_SchedCancelChurn<sim::TimerWheel>)->Arg(1024)->Arg(10240);
+BENCHMARK(BM_SchedCancelChurn)->Arg(1024)->Arg(10240);
 
 void BM_SimulatorTimerChurn(benchmark::State& state) {
   for (auto _ : state) {

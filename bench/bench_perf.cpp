@@ -25,7 +25,6 @@
 #include "iq/harness/json.hpp"
 #include "iq/net/dumbbell.hpp"
 #include "iq/rudp/codec.hpp"
-#include "iq/sim/event_queue.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/sim/timer_wheel.hpp"
 
@@ -79,13 +78,9 @@ double bench_event_churn() {
 
 /// The retransmission-timer pattern: a standing population of events that
 /// are almost always cancelled and rescheduled, almost never fired.
-/// Templated so the 4-ary heap baseline and the timing wheel run the exact
-/// same op mix — the wheel's O(1) schedule/cancel vs the heap's O(log n)
-/// sifts is the whole point of the comparison.
-template <typename Queue>
 double bench_sched_cancel(std::size_t live) {
   return best_rate(5, [live] {
-    Queue q;
+    sim::TimerWheel q;
     constexpr std::uint64_t kOps = 1'000'000;
     std::vector<sim::EventId> ids(live, 0);
     std::uint64_t ops = 0;
@@ -385,11 +380,8 @@ int main(int argc, char** argv) {
 
   const double churn = bench_event_churn();
   std::printf("  event churn:        %8.2f M events/s\n", churn / 1e6);
-  const double sc_heap = bench_sched_cancel<sim::EventQueue>(1024);
-  std::printf("  heap sched+cancel:  %8.2f M ops/s (1k live)\n",
-              sc_heap / 1e6);
-  const double sc_wheel_1k = bench_sched_cancel<sim::TimerWheel>(1024);
-  const double sc_wheel_10k = bench_sched_cancel<sim::TimerWheel>(10240);
+  const double sc_wheel_1k = bench_sched_cancel(1024);
+  const double sc_wheel_10k = bench_sched_cancel(10240);
   std::printf("  wheel sched+cancel: %8.2f M ops/s (1k live), %.2f M (10k)\n",
               sc_wheel_1k / 1e6, sc_wheel_10k / 1e6);
   const std::uint64_t wheel_allocs = bench_wheel_churn_allocs();
@@ -436,7 +428,6 @@ int main(int argc, char** argv) {
   iq::harness::JsonWriter w;
   w.begin_object()
       .field("event_churn_eps", churn)
-      .field("sched_cancel_ops", sc_heap)
       .field("wheel_sched_cancel_ops_1k", sc_wheel_1k)
       .field("wheel_sched_cancel_ops_10k", sc_wheel_10k)
       .field("wheel_churn_steady_allocs", wheel_allocs)

@@ -4,8 +4,8 @@
 #   1. the default RelWithDebInfo build (the tier-1 verify),
 #   2. an ASan+UBSan build (IQ_SANITIZE=ON) to catch memory and UB errors
 #      that pass silently in the default build (this build also runs the
-#      randomized event-queue and timer-wheel property tests under the
-#      sanitizers, then reruns the CRC/codec golden suites once per forced
+#      randomized timer-wheel property tests under the sanitizers, then
+#      reruns the CRC/codec golden suites once per forced
 #      IQ_CRC_IMPL tier so every dispatchable kernel — pclmul's unaligned
 #      SIMD loads included — is sanitizer-clean and wire-identical), and
 #   3. a Release build of bench_perf whose BENCH_PERF.json is archived so

@@ -69,21 +69,16 @@ class CongestionController {
   /// the value changes; the congestion manager uses it to skip
   /// share-growth wake-ups whose pump would send nothing.
   ///
-  /// That skip is exact because every other way the send loop can unblock
-  /// pumps by itself or re-arms the wake point to 0:
+  /// That skip is exact because every path that can unblock the send loop
+  /// ends in pump():
   ///  * inflight falls only in on_ack (cumulative/selective acks, skipped
-  ///    losses) and on_rto (skipped losses); both end in pump();
-  ///  * peer_rwnd_ rises only in on_ack, which has no early return after it
-  ///    and ends in pump();
-  ///  * data enters pending_ only in send_message, which pumps;
-  ///    set_max_pending_segments can empty it without a pump, so it re-arms
-  ///    (pump() is the only writer of the window_limited_ flag that on_ack
-  ///    reads, and a skipped pump must not leave it stale);
-  ///  * the connection becomes Established in on_syn_ack, which pumps, and
-  ///    in on_syn, which re-arms;
-  ///  * its own window moves (scale_congestion_window, set_external_
-  ///    congestion, on_epoch_report, acks, losses, timeouts) on paths that
-  ///    pump.
+  ///    losses) and on_rto (skipped losses);
+  ///  * peer_rwnd_ rises only in on_ack, which has no early return after it;
+  ///  * pending_ changes in send_message and set_max_pending_segments (pump()
+  ///    is the only writer of the window_limited_ flag that on_ack reads);
+  ///  * the connection becomes Established in become_established();
+  ///  * its own window moves in scale_congestion_window, set_external_
+  ///    congestion, on_epoch_report, acks, losses and timeouts.
   virtual void set_wake_point(double /*window*/) {}
 };
 

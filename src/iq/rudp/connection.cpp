@@ -210,11 +210,11 @@ Duration RudpConnection::keepalive_interval() const {
 void RudpConnection::become_established() {
   if (state_ == ConnState::Established) return;
   state_ = ConnState::Established;
-  // on_syn establishes without pumping: whatever is pending may now send.
-  set_wake_point(0.0);
   audit_emit(audit::EventType::Established);
   if (!cfg_.keepalive.is_zero()) keepalive_timer_.start(keepalive_interval());
   if (on_established_) on_established_();
+  // Whatever was queued before the handshake may now send.
+  pump();
 }
 
 // ------------------------------------------------------------- sending ----
@@ -265,9 +265,8 @@ RudpConnection::SendResult RudpConnection::send_message(
 void RudpConnection::set_max_pending_segments(std::size_t limit) {
   cfg_.max_pending_segments = limit;
   shed_pending();
-  // Shedding can empty pending_ without a pump; the next pump must not be
-  // skipped, it resets window_limited_.
-  set_wake_point(0.0);
+  // Shedding can empty pending_; pump() resets window_limited_ to match.
+  pump();
 }
 
 void RudpConnection::shed_pending() {
@@ -519,7 +518,6 @@ void RudpConnection::on_syn_ack(const Segment& seg) {
   budget_.set_tolerance(seg.recv_loss_tolerance);
   connect_timer_.stop();
   become_established();
-  pump();
 }
 
 void RudpConnection::on_data(const Segment& seg) {

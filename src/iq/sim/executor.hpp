@@ -18,6 +18,7 @@ namespace iq::sim {
 /// Move-only small-buffer callable — see iq/common/inline_fn.hpp. Using it
 /// for every scheduled event keeps the simulator hot path allocation-free.
 using EventFn = InlineFn<void()>;
+/// Opaque handle identifying a scheduled event; 0 is never used.
 using EventId = std::uint64_t;
 
 class Executor {

@@ -60,9 +60,9 @@ class Simulator final : public Executor {
  private:
   void fire(TimerWheel::Popped& ev);
 
-  /// Hierarchical timing wheel (O(1) schedule/rearm/cancel) with the same
-  /// (time, seq) fire order as the 4-ary EventQueue it replaced — see
-  /// iq/sim/timer_wheel.hpp for the determinism contract.
+  /// Hierarchical timing wheel (O(1) schedule/rearm/cancel) firing in
+  /// (time, schedule order) — see iq/sim/timer_wheel.hpp for the
+  /// determinism contract.
   TimerWheel queue_;
   TimePoint now_ = TimePoint::zero();
   std::uint64_t executed_ = 0;

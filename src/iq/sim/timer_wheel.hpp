@@ -1,13 +1,14 @@
 #pragma once
-// Hierarchical timing wheel: the O(1) successor to the 4-ary event heap.
+// Hierarchical timing wheel: the one event scheduler of the simulator and
+// the realtime loop.
 //
 // The RUDP hot path is timer *churn*: every connection owns five timers
 // (rto, connect, keepalive, ack, fec_flush) that are rearmed on nearly
-// every segment and almost never allowed to fire. Through the heap each
-// rearm costs two O(log n) sift passes, and at CityScale's 10k flows the
-// heap is the dominant cost of the whole simulation. A timing wheel makes
-// schedule, rearm and cancel O(1): an entry is appended to the bucket its
-// deadline hashes to and unlinked in place by handle.
+// every segment and almost never allowed to fire. Through a binary heap
+// each rearm would cost two O(log n) sift passes, and at CityScale's 10k
+// flows that is the dominant cost of the whole simulation. A timing wheel
+// makes schedule, rearm and cancel O(1): an entry is appended to the
+// bucket its deadline hashes to and unlinked in place by handle.
 //
 // Structure (Varghese–Lauck hierarchy over coarse ticks): time is cut into
 // ticks of 2^10 ns (~1 us) and the wheel has 7 levels of 256 buckets, each
@@ -37,13 +38,12 @@
 // one settle. next_time() does not settle at all: it reads the heap's top,
 // or scans the earliest occupied bucket in place.
 //
-// Determinism contract — the wheel fires in EXACTLY the event heap's
-// order, which is what keeps CityScale's FNV-1a digests bit-identical at
+// Determinism contract — the wheel fires in EXACTLY (deadline, schedule
+// order), which is what keeps CityScale's FNV-1a digests bit-identical at
 // every shard count:
 //
 //   1. Total order is (deadline, schedule-seq): a strictly increasing
-//      sequence number breaks same-nanosecond ties in insertion order,
-//      identical to EventQueue.
+//      sequence number breaks same-nanosecond ties in insertion order.
 //   2. A level-0 bucket spans one tick, so its entries may differ in their
 //      exact deadline. When the position reaches the tick the bucket is
 //      staged whole and the heap orders it by (deadline, seq) — O(m log m)
@@ -52,8 +52,8 @@
 //   3. Late schedules — a deadline in a tick at or before the wheel's
 //      current one (legal on the realtime path, and in the tick the clock
 //      stands in) — are staged directly with their original deadline as
-//      the sort key, so they order against pending work exactly as the
-//      heap would order them.
+//      the sort key, so they order against pending work exactly as if
+//      they had been scheduled in time.
 //
 // A cancel of a linked entry unlinks it in place; a cancel of a staged
 // entry bumps the slot's generation so its heap reference turns stale and
@@ -63,11 +63,10 @@
 // are cancelled.
 //
 // tests/timer_wheel_property_test.cpp drives random schedule/rearm/
-// cancel/fire interleavings against the EventQueue as a reference model and
+// cancel/fire interleavings against a linear-scan reference model and
 // requires identical fire order, identical cancel results (stale and double
-// cancels structurally rejected by the same generation-validated handle
-// scheme) and identical next_time(), with next_time() and has_due() probed
-// between ops.
+// cancels rejected by the generation-validated handles) and identical
+// next_time(), with next_time() and has_due() probed between ops.
 //
 // The wheel is allocation-free at steady state: entries live in a pooled
 // slot table (freelist reuse), buckets are intrusive circular doubly-linked
@@ -80,15 +79,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "iq/common/inline_fn.hpp"
 #include "iq/common/time.hpp"
+#include "iq/sim/executor.hpp"
 
 namespace iq::sim {
-
-using EventFn = InlineFn<void()>;
-
-/// Opaque handle identifying a scheduled event; 0 is never used.
-using EventId = std::uint64_t;
 
 class TimerWheel {
  public:

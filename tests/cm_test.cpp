@@ -14,7 +14,6 @@
 #include "iq/core/iq_connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::cm {
 namespace {
@@ -395,8 +394,10 @@ TEST(CmAuditorTest, DedupAccountingViolationTrips) {
 
 struct CmPair {
   sim::Simulator sim;
-  wire::DirectWirePair wires_a{sim, Duration::millis(15)};
-  wire::DirectWirePair wires_b{sim, Duration::millis(15)};
+  wire::LossyWirePair wires_a{
+      sim, wire::LossyConfig{.one_way_delay = Duration::millis(15)}};
+  wire::LossyWirePair wires_b{
+      sim, wire::LossyConfig{.one_way_delay = Duration::millis(15)}};
   CongestionManager mgr;
   std::unique_ptr<core::IqRudpConnection> snd_a, rcv_a, snd_b, rcv_b;
 
@@ -476,7 +477,8 @@ TEST(CmIntegrationTest, ConnectionWakesOnlyAtInflightPlusOne) {
 
 TEST(CmIntegrationTest, ReceiveWindowLimitedFlowIsNeverWoken) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(
+      sim, wire::LossyConfig{.one_way_delay = Duration::millis(15)});
   CongestionManager mgr(small_cm(8.0));
   rudp::RudpConfig cfg;
   rudp::RudpConfig rcv_cfg;
@@ -551,7 +553,8 @@ TEST(CmIntegrationTest, CoordinatorDonationKeepsAggregate) {
 
 TEST(CmIntegrationTest, AggregateRescaleModeRoutesToManager) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(
+      sim, wire::LossyConfig{.one_way_delay = Duration::millis(15)});
   CongestionManager mgr(small_cm(8.0));
   rudp::RudpConfig cfg;
   core::CoordinatorConfig ccfg;
@@ -578,7 +581,8 @@ TEST(CmIntegrationTest, FailureDetachesAndReturnsShare) {
   wire::LossyConfig lcfg;
   lcfg.drop_probability = 1.0;  // dead path: the handshake can never finish
   wire::LossyWirePair dead(sim, lcfg);
-  wire::DirectWirePair live(sim, Duration::millis(15));
+  wire::LossyWirePair live(
+      sim, wire::LossyConfig{.one_way_delay = Duration::millis(15)});
   CongestionManager mgr(small_cm(8.0));
   rudp::RudpConfig cfg;
   cfg.connect_retry = Duration::millis(100);

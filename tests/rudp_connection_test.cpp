@@ -9,28 +9,21 @@
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::rudp {
 namespace {
 
 struct Pair {
   sim::Simulator sim;
-  std::unique_ptr<wire::DirectWirePair> direct;
   std::unique_ptr<wire::LossyWirePair> lossy;
   std::unique_ptr<RudpConnection> sender;
   std::unique_ptr<RudpConnection> receiver;
   std::vector<DeliveredMessage> delivered;
 
   explicit Pair(RudpConfig cfg = {}, RudpConfig rcfg_override = {},
-                bool use_rcfg = false) {
-    direct = std::make_unique<wire::DirectWirePair>(sim, Duration::millis(15));
-    RudpConfig rcfg = use_rcfg ? rcfg_override : cfg;
-    sender = std::make_unique<RudpConnection>(direct->a(), cfg, Role::Client);
-    receiver =
-        std::make_unique<RudpConnection>(direct->b(), rcfg, Role::Server);
-    hook();
-  }
+                bool use_rcfg = false)
+      : Pair(wire::LossyConfig{.one_way_delay = Duration::millis(15)}, cfg,
+             use_rcfg ? rcfg_override : cfg) {}
 
   explicit Pair(const wire::LossyConfig& lcfg, RudpConfig cfg = {},
                 RudpConfig rcfg = {}) {
@@ -434,6 +427,42 @@ TEST(RudpConnectionTest, AdvanceBeyondReceiveWindowIsRejected) {
   p.run_ms(10'000);
   EXPECT_EQ(p.delivered.size(), 80u);
   EXPECT_EQ(p.receiver->stats().messages_dropped, 0u);
+}
+
+// Regression: a server establishes on the client's SYN. A message it had
+// queued while listening stayed unsent until the application sent again.
+TEST(RudpConnectionTest, ServerMessageQueuedBeforeSynSendsOnEstablish) {
+  Pair p;
+  std::vector<DeliveredMessage> at_client;
+  p.sender->set_message_handler(
+      [&](const DeliveredMessage& m) { at_client.push_back(m); });
+  p.receiver->send_message(MessageSpec{.bytes = 500});  // SYN in flight
+  EXPECT_EQ(p.receiver->stats().segments_sent, 0u);
+  p.run_ms(200);
+  EXPECT_TRUE(p.receiver->established());
+  EXPECT_EQ(p.receiver->stats().segments_sent, 1u);
+  ASSERT_EQ(at_client.size(), 1u);
+  EXPECT_EQ(at_client[0].bytes, 500);
+}
+
+// Regression: shedding that emptied the send queue left the sender marked
+// window-limited, so the next ack grew the window of a sender with nothing
+// to send (window validation).
+TEST(RudpConnectionTest, ShedQueueDoesNotGrowWindowOnNextAck) {
+  Pair p;
+  p.run_ms(100);
+  ASSERT_TRUE(p.sender->established());
+  const double cwnd = p.sender->congestion().cwnd();
+  ASSERT_EQ(cwnd, 2.0);
+  // Fill the window, then queue one whole message behind it and shed it.
+  p.sender->send_message(MessageSpec{.bytes = 100});
+  p.sender->send_message(MessageSpec{.bytes = 100});
+  p.sender->send_message(MessageSpec{.bytes = 3 * 1400});
+  p.sender->set_max_pending_segments(1);
+  EXPECT_EQ(p.sender->stats().messages_shed, 1u);
+  p.run_ms(100);
+  EXPECT_EQ(p.delivered.size(), 2u);
+  EXPECT_EQ(p.sender->congestion().cwnd(), cwnd);
 }
 
 }  // namespace
