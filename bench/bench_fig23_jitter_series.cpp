@@ -12,8 +12,10 @@ int main() {
   using namespace iq::harness;
   std::printf("== Figures 2/3: delay jitter series ==\n");
 
-  const auto iq = bench::run_and_report(scenarios::fig23(SchemeSpec::iq_rudp()));
-  const auto ru = bench::run_and_report(scenarios::fig23(SchemeSpec::rudp()));
+  const auto runs = bench::run_all({scenarios::fig23(SchemeSpec::iq_rudp()),
+                                    scenarios::fig23(SchemeSpec::rudp())});
+  const auto& iq = runs[0];
+  const auto& ru = runs[1];
 
   std::printf("\n--- Figure 2 (IQ-RUDP) ---\n%s",
               iq.jitter_series.ascii_plot(96, 10).c_str());

@@ -6,7 +6,6 @@
 // next to the measured ones, and exits nonzero if the scenario failed to
 // complete (so bench runs catch regressions).
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,33 +17,14 @@
 
 namespace iq::bench {
 
-inline harness::ExperimentResult run_and_report(
-    const harness::ExperimentConfig& cfg) {
-  const auto wall0 = std::chrono::steady_clock::now();
-  harness::ExperimentResult r = harness::run_experiment(cfg);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  std::fprintf(stderr, "  [%-24s] sim %.1fs, wall %.2fs, events %.2fM%s\n",
-               cfg.scheme.label.c_str(), r.sim_seconds, wall,
-               static_cast<double>(r.events_executed) / 1e6,
-               r.completed ? "" : "  ** DID NOT COMPLETE **");
-  return r;
-}
-
-/// Run a whole table's configurations at once — across a thread pool unless
-/// IQ_BENCH_SERIAL is set — and print one report line per run, in input
-/// order. Each run owns its simulator and network, so the results (and the
-/// tables built from them) are bit-identical to running serially; only the
-/// wall-clock time changes.
+/// Run a whole table's configurations at once — across a thread pool whose
+/// width IQ_HARNESS_THREADS pins (1 = serial) — and print one report line
+/// per run, in input order. Each run owns its simulator and network, so the
+/// results (and the tables built from them) are bit-identical to running
+/// serially; only the wall-clock time changes.
 inline std::vector<harness::ExperimentResult> run_all(
     const std::vector<harness::ExperimentConfig>& cfgs) {
-  std::size_t threads = 0;
-  if (const char* v = std::getenv("IQ_BENCH_SERIAL");
-      v != nullptr && *v != '\0' && *v != '0') {
-    threads = 1;
-  }
-  auto timed = harness::run_experiments(cfgs, threads);
+  auto timed = harness::run_experiments(cfgs);
   std::vector<harness::ExperimentResult> out;
   out.reserve(timed.size());
   for (std::size_t i = 0; i < timed.size(); ++i) {

@@ -79,26 +79,6 @@ bool MarkingPolicy::decide_tagged(std::uint64_t index) {
   return !rng_.chance(unmark_p_);
 }
 
-// ------------------------------------------------------------------- fec --
-
-FecPolicy::FecPolicy(const FecPolicyConfig& cfg) : cfg_(cfg) {}
-
-bool FecPolicy::update(double eratio) {
-  const bool was = active_;
-  if (!active_ && eratio > cfg_.activate_above) {
-    active_ = true;
-    ++activations_;
-  } else if (active_ && eratio < cfg_.deactivate_below) {
-    active_ = false;
-  }
-  return active_ != was;
-}
-
-Event& FecPolicy::protect(Event& ev) const {
-  ev.fec = active_ && (cfg_.protect_tagged || !ev.tagged);
-  return ev;
-}
-
 // ------------------------------------------------------------- frequency --
 
 FrequencyPolicy::FrequencyPolicy(const FrequencyPolicyConfig& cfg)

@@ -9,7 +9,6 @@
 
 #include "iq/common/rng.hpp"
 #include "iq/core/adaptation.hpp"
-#include "iq/echo/event.hpp"
 
 namespace iq::echo {
 
@@ -82,40 +81,6 @@ class MarkingPolicy {
   double unmark_p_ = 0.0;
 };
 
-// ------------------------------------------------------------------- fec --
-// Publishers opt events into the FEC-protected reliability class when the
-// network is lossy enough that retransmission latency hurts but the data is
-// too important to unmark. Hysteresis keeps the class from flapping around
-// a threshold: it activates above `activate_above` error ratio and
-// deactivates only below `deactivate_below`.
-
-struct FecPolicyConfig {
-  double activate_above = 0.005;
-  double deactivate_below = 0.001;
-  /// When true, events the marking policy already left tagged are enrolled
-  /// too; when false only untagged events are upgraded to FEC.
-  bool protect_tagged = true;
-};
-
-class FecPolicy {
- public:
-  explicit FecPolicy(const FecPolicyConfig& cfg = {});
-
-  /// Digest the epoch's error ratio; returns true if activation changed.
-  bool update(double eratio);
-
-  /// Stamp `ev.fec` according to the current activation; returns the event.
-  Event& protect(Event& ev) const;
-
-  bool active() const { return active_; }
-  std::uint64_t activations() const { return activations_; }
-
- private:
-  FecPolicyConfig cfg_;
-  bool active_ = false;
-  std::uint64_t activations_ = 0;
-};
-
 // ------------------------------------------------------------- frequency --
 // A frequency adaptation sends the same-size messages less often; the paper
 // notes the transport needs *no* window change for it. The policy thins the
@@ -141,7 +106,6 @@ class FrequencyPolicy {
  private:
   FrequencyPolicyConfig cfg_;
   double ratio_ = 1.0;
-  double accum_ = 0.0;  // unused placeholder for stateful thinning
 };
 
 }  // namespace iq::echo

@@ -10,8 +10,6 @@ namespace iq::fec {
 
 FecEncoder::FecEncoder(FecConfig cfg) : cfg_(cfg) {
   IQ_CHECK(cfg_.group_size >= 1);
-  IQ_CHECK(cfg_.interleave >= 1);
-  lanes_.resize(cfg_.interleave);
 }
 
 void FecEncoder::set_group_size(std::uint16_t k) {
@@ -20,13 +18,10 @@ void FecEncoder::set_group_size(std::uint16_t k) {
 }
 
 std::optional<rudp::Segment> FecEncoder::add(const rudp::Segment& data) {
-  Lane& lane = lanes_[next_lane_];
-  next_lane_ = (next_lane_ + 1) % lanes_.size();
-
-  if (lane.members.empty()) {
-    lane.group_id = next_group_++;
-    lane.target = std::max<std::uint16_t>(1, cfg_.group_size);
-    lane.parity_bytes = 0;
+  if (members_.empty()) {
+    group_id_ = next_group_++;
+    target_ = cfg_.group_size;
+    parity_bytes_ = 0;
   }
   rudp::FecMember m;
   m.seq = data.seq;
@@ -35,37 +30,26 @@ std::optional<rudp::Segment> FecEncoder::add(const rudp::Segment& data) {
   m.frag_count = data.frag_count;
   m.payload_bytes = data.payload_bytes;
   m.attrs = data.attrs;
-  lane.parity_bytes = std::max(lane.parity_bytes, data.payload_bytes);
-  lane.members.push_back(std::move(m));
+  parity_bytes_ = std::max(parity_bytes_, data.payload_bytes);
+  members_.push_back(std::move(m));
 
-  if (lane.members.size() >= lane.target) return close(lane);
+  if (members_.size() >= target_) return close();
   return std::nullopt;
 }
 
-std::vector<rudp::Segment> FecEncoder::flush() {
-  std::vector<rudp::Segment> out;
-  for (Lane& lane : lanes_) {
-    if (!lane.members.empty()) out.push_back(close(lane));
-  }
-  return out;
+std::optional<rudp::Segment> FecEncoder::flush() {
+  if (members_.empty()) return std::nullopt;
+  return close();
 }
 
-std::size_t FecEncoder::open_groups() const {
-  std::size_t n = 0;
-  for (const Lane& lane : lanes_) {
-    if (!lane.members.empty()) ++n;
-  }
-  return n;
-}
-
-rudp::Segment FecEncoder::close(Lane& lane) {
+rudp::Segment FecEncoder::close() {
   rudp::Segment p;
   p.type = rudp::SegmentType::Parity;
   p.fec_protected = true;
-  p.fec_group = lane.group_id;
-  p.fec_members = std::move(lane.members);
-  p.payload_bytes = lane.parity_bytes;
-  lane.members.clear();
+  p.fec_group = group_id_;
+  p.fec_members = std::move(members_);
+  p.payload_bytes = parity_bytes_;
+  members_.clear();
   ++groups_closed_;
   return p;
 }

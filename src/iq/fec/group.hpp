@@ -6,9 +6,8 @@
 // into an open group; when a group reaches its configured size k (or is
 // flushed on idle) a PARITY segment is emitted carrying the group's member
 // descriptors plus a parity payload (the XOR of the member payloads — sized
-// as the largest member, virtual in simulation). Interleaving depth d
-// round-robins consecutive segments over d open groups so a loss burst of
-// up to d consecutive segments stays recoverable (one loss per group).
+// as the largest member, virtual in simulation). One group is open at a
+// time, so it recovers one loss among k consecutive protected segments.
 //
 // The receiver holds PARITY segments whose groups still miss more than one
 // member; as soon as exactly one member is missing, that member is
@@ -30,8 +29,6 @@ namespace iq::fec {
 struct FecConfig {
   /// Members per parity group (k): redundancy overhead ≈ 1/k.
   std::uint16_t group_size = 4;
-  /// Open groups filled round-robin; > 1 tolerates short loss bursts.
-  std::uint16_t interleave = 1;
 };
 
 class FecEncoder {
@@ -43,9 +40,9 @@ class FecEncoder {
   /// be enrolled (the original descriptor still covers them).
   std::optional<rudp::Segment> add(const rudp::Segment& data);
 
-  /// Close every non-empty group (idle flush); partial groups still protect
-  /// the members they cover.
-  std::vector<rudp::Segment> flush();
+  /// Close the open group, if any (idle flush); a partial group still
+  /// protects the members it covers.
+  std::optional<rudp::Segment> flush();
 
   /// Retune the group size; applies to groups opened from now on.
   void set_group_size(std::uint16_t k);
@@ -53,22 +50,18 @@ class FecEncoder {
   /// Parity overhead fraction at the current group size.
   double redundancy() const { return 1.0 / cfg_.group_size; }
 
-  std::size_t open_groups() const;
+  std::size_t open_groups() const { return members_.empty() ? 0 : 1; }
   std::uint64_t groups_closed() const { return groups_closed_; }
 
  private:
-  struct Lane {
-    std::uint32_t group_id = 0;
-    std::uint16_t target = 0;  ///< group size captured when the group opened
-    rudp::FecMemberList members;  ///< moves straight into Segment::fec_members
-    std::int32_t parity_bytes = 0;  ///< max member payload so far
-  };
-
-  rudp::Segment close(Lane& lane);
+  rudp::Segment close();
 
   FecConfig cfg_;
-  std::vector<Lane> lanes_;
-  std::size_t next_lane_ = 0;
+  // The open group.
+  std::uint32_t group_id_ = 0;
+  std::uint16_t target_ = 0;  ///< group size captured when the group opened
+  rudp::FecMemberList members_;  ///< moves straight into Segment::fec_members
+  std::int32_t parity_bytes_ = 0;  ///< max member payload so far
   std::uint32_t next_group_ = 1;
   std::uint64_t groups_closed_ = 0;
 };

@@ -117,8 +117,6 @@ struct CityScale::Site {
 };
 
 std::size_t cityscale_shards() {
-  const char* serial = std::getenv("IQ_HARNESS_SERIAL");
-  if (serial != nullptr && serial[0] != '\0' && serial[0] != '0') return 1;
   const std::size_t env = harness_threads_env();
   if (env != 0) return env;
   const std::size_t hw = std::thread::hardware_concurrency();

@@ -15,11 +15,6 @@ double wall_now() {
       .count();
 }
 
-bool serial_forced() {
-  const char* v = std::getenv("IQ_HARNESS_SERIAL");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 }  // namespace
 
 std::size_t harness_threads_env() {
@@ -32,7 +27,7 @@ std::size_t harness_threads_env() {
 }
 
 std::size_t runner_threads(std::size_t jobs, std::size_t threads) {
-  if (jobs <= 1 || serial_forced()) return 1;
+  if (jobs <= 1) return 1;
   if (threads == 0) threads = harness_threads_env();
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();

@@ -5,13 +5,12 @@
 // Each run builds its own Simulator/Network/Scenario, so runs share no
 // mutable state and the results are bit-identical to running the same
 // configs serially — the pool only changes wall-clock time. Set the
-// environment variable IQ_HARNESS_SERIAL=1 (or pass threads = 1) to force
-// serial execution, e.g. when profiling a single run, or
-// IQ_HARNESS_THREADS=N to pin the pool width on any machine (CI uses it to
-// force both serial and parallel runs regardless of core count). Explicit
-// `threads` arguments beat IQ_HARNESS_THREADS; IQ_HARNESS_SERIAL beats
-// both. The same override is the default shard count of the city-scale
-// scenario (harness::cityscale_shards).
+// environment variable IQ_HARNESS_THREADS=N to pin the pool width on any
+// machine: N = 1 forces serial execution, e.g. when profiling a single run
+// (CI uses it to force both serial and parallel runs regardless of core
+// count). Explicit `threads` arguments beat IQ_HARNESS_THREADS. The same
+// override is the default shard count of the city-scale scenario
+// (harness::cityscale_shards).
 
 #include <cstddef>
 #include <vector>
@@ -29,7 +28,7 @@ struct TimedResult {
 
 /// Number of worker threads run_experiments() will use for `jobs` runs when
 /// `threads` = 0: IQ_HARNESS_THREADS if set, else hardware concurrency;
-/// capped by the job count (and 1 if IQ_HARNESS_SERIAL is set).
+/// capped by the job count.
 std::size_t runner_threads(std::size_t jobs, std::size_t threads = 0);
 
 /// The IQ_HARNESS_THREADS override (0 when unset/invalid). Valid values are

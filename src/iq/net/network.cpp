@@ -16,7 +16,6 @@ Node& Network::add_node(const std::string& name) {
 Link& Network::add_link(Node& from, Node& to, const LinkConfig& cfg) {
   auto link = std::make_unique<Link>(
       sim_, from.name() + "->" + to.name(), cfg, to);
-  link->set_tracer(tracer_);
   links_.push_back(std::move(link));
   edges_.push_back(Edge{from.id(), to.id(), links_.back().get()});
   return *links_.back();
@@ -32,7 +31,6 @@ Link& Network::add_portal_link(Node& from, PacketSink& sink,
                                const LinkConfig& cfg) {
   auto link = std::make_unique<Link>(sim_, from.name() + "->" + name, cfg,
                                      sink);
-  link->set_tracer(tracer_);
   links_.push_back(std::move(link));
   // Deliberately not an Edge: the sink is outside this network's node set,
   // so compute_routes() must not see it.
@@ -90,7 +88,6 @@ PacketPtr Network::make_packet(Endpoint src, Endpoint dst, std::uint32_t flow,
                                bool corrupted) {
   IQ_CHECK(wire_bytes > 0);
   auto p = packet_pool_.make();
-  p->id = next_packet_id_++;
   p->src = src;
   p->dst = dst;
   p->flow = flow;
@@ -99,11 +96,6 @@ PacketPtr Network::make_packet(Endpoint src, Endpoint dst, std::uint32_t flow,
   p->corrupted = corrupted;
   p->body = std::move(body);
   return p;
-}
-
-void Network::set_tracer(Tracer* tracer) {
-  tracer_ = tracer;
-  for (auto& link : links_) link->set_tracer(tracer);
 }
 
 Node& Network::node(NodeId id) {

@@ -12,7 +12,6 @@
 #include "iq/net/link.hpp"
 #include "iq/net/node.hpp"
 #include "iq/net/pool.hpp"
-#include "iq/net/tracer.hpp"
 #include "iq/sim/simulator.hpp"
 
 namespace iq::net {
@@ -46,7 +45,7 @@ class Network {
   /// Install hop-count shortest-path routes at every node (BFS per node).
   void compute_routes();
 
-  /// Create a packet stamped with a fresh id and the current sim time.
+  /// Create a packet stamped with the current sim time.
   /// Packets come from a freelist pool: steady-state traffic performs no
   /// heap allocation per packet. `corrupted` lets a portal re-materializing
   /// a packet from another shard carry the in-flight corruption flag over.
@@ -56,9 +55,6 @@ class Network {
                         bool corrupted = false);
 
   PoolStats packet_pool_stats() const { return packet_pool_.stats(); }
-
-  /// Install a tracer on every link (and future links).
-  void set_tracer(Tracer* tracer);
 
   sim::Simulator& sim() { return sim_; }
   Node& node(NodeId id);
@@ -77,9 +73,7 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Edge> edges_;
-  std::uint64_t next_packet_id_ = 1;
   ObjectPool<Packet> packet_pool_;
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace iq::net

@@ -7,6 +7,18 @@
 
 namespace iq::rudp {
 
+namespace {
+
+/// SACK loss rule: a segment is lost once this many later segments have
+/// receipt evidence (docs/PROTOCOL.md).
+constexpr int kDupThreshold = 3;
+/// After an RTO streak at least this long, the first forward progress is
+/// treated as blackout recovery: the in-progress loss epoch is reset so
+/// outage losses don't keep the congestion window collapsed.
+constexpr int kRtoStreakForEpochReset = 3;
+
+}  // namespace
+
 const char* failure_reason_name(FailureReason r) {
   switch (r) {
     case FailureReason::None: return "none";
@@ -28,7 +40,7 @@ RudpConnection::RudpConnection(SegmentWire& wire, RudpConfig cfg, Role role)
       loss_(cfg.loss_epoch_packets),
       recv_buf_(cfg.recv_window_packets, cfg.initial_seq),
       budget_(0.0),
-      fec_enc_(fec::FecConfig{cfg.fec_group_size, cfg.fec_interleave}),
+      fec_enc_(fec::FecConfig{cfg.fec_group_size}),
       rto_timer_(wire.executor(), [this] { on_rto(); }),
       connect_timer_(wire.executor(), [this] { send_syn(); }),
       keepalive_timer_(wire.executor(), [this] { on_keepalive_tick(); }),
@@ -387,7 +399,7 @@ void RudpConnection::send_parity(Segment parity) {
 
 void RudpConnection::flush_fec() {
   if (state_ != ConnState::Established) return;
-  for (Segment& parity : fec_enc_.flush()) send_parity(std::move(parity));
+  if (auto parity = fec_enc_.flush()) send_parity(std::move(*parity));
 }
 
 void RudpConnection::send_ack(std::uint64_t ts_echo_us) {
@@ -454,7 +466,7 @@ void RudpConnection::on_segment(const Segment& seg) {
   // Coming out of a sustained streak (a blackout), discard the in-progress
   // loss epoch: it is a wall of outage losses that would close as a
   // ~100%-loss report and slam the window shut just as the path comes back.
-  if (rto_streak_ >= cfg_.rto_streak_for_epoch_reset) {
+  if (rto_streak_ >= kRtoStreakForEpochReset) {
     const std::uint64_t pending_acked = loss_.pending_acked();
     const std::uint64_t pending_lost = loss_.pending_lost();
     loss_.reset_epoch();
@@ -662,7 +674,7 @@ void RudpConnection::on_ack(const Segment& seg) {
   }
 
   audit_acked_scratch_.clear();
-  auto outcome = send_buf_.on_ack(cum, eacks, cfg_.dup_threshold,
+  auto outcome = send_buf_.on_ack(cum, eacks, kDupThreshold,
                                   audit_ ? &audit_acked_scratch_ : nullptr);
   if (audit_) {
     // Per-seq terminal evidence first, then the batch summary the auditor

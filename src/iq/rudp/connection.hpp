@@ -45,7 +45,6 @@ struct RudpConfig {
   std::uint32_t recv_window_packets = 4096;
   std::uint32_t loss_epoch_packets = 100;
   std::size_t max_eacks_per_ack = 64;
-  int dup_threshold = 3;
 
   CcKind cc_kind = CcKind::Lda;
   double initial_cwnd = 2.0;
@@ -73,10 +72,6 @@ struct RudpConfig {
   /// exponentially: N=8 ≈ 200ms+400ms+...+25.6s ≈ 51s of silence at the
   /// default min RTO. 0 disables RTO-based failure.
   int max_rto_streak = 8;
-  /// After an RTO streak at least this long, the first forward progress is
-  /// treated as blackout recovery: the in-progress loss epoch is reset so
-  /// outage losses don't keep the congestion window collapsed.
-  int rto_streak_for_epoch_reset = 3;
   /// Backpressure: bound on queued-but-unsent segments. When exceeded, the
   /// oldest whole not-yet-transmitted messages are shed (drop-oldest) so a
   /// stalled connection degrades instead of growing memory. 0 = unbounded.
@@ -91,10 +86,8 @@ struct RudpConfig {
   std::uint32_t ack_every = 1;
   Duration ack_delay = Duration::millis(100);
 
-  /// FEC reliability class: XOR parity group size (members per parity) and
-  /// interleaving depth (concurrent open groups, round-robin enrolment).
+  /// FEC reliability class: XOR parity group size (members per parity).
   std::uint16_t fec_group_size = 4;
-  std::uint16_t fec_interleave = 1;
   /// Partially filled parity groups are closed after this long so a lull in
   /// FEC traffic cannot leave the last segments unprotected.
   Duration fec_flush = Duration::millis(30);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "iq/core/iq_connection.hpp"
-#include "iq/echo/policies.hpp"
 #include "iq/fec/group.hpp"
 #include "iq/fec/redundancy.hpp"
 #include "iq/rudp/connection.hpp"
@@ -41,7 +40,7 @@ Segment data_seg(rudp::WireSeq seq, std::int32_t bytes = 1000,
 // --------------------------------------------------------------- encoder --
 
 TEST(FecEncoderTest, ClosesGroupAtK) {
-  fec::FecEncoder enc({.group_size = 3, .interleave = 1});
+  fec::FecEncoder enc({.group_size = 3});
   EXPECT_FALSE(enc.add(data_seg(1)).has_value());
   EXPECT_FALSE(enc.add(data_seg(2, 500)).has_value());
   auto parity = enc.add(data_seg(3, 2000));
@@ -56,35 +55,20 @@ TEST(FecEncoderTest, ClosesGroupAtK) {
   EXPECT_EQ(enc.open_groups(), 0u);
 }
 
-TEST(FecEncoderTest, InterleaveRoundRobinsLanes) {
-  fec::FecEncoder enc({.group_size = 2, .interleave = 2});
-  EXPECT_FALSE(enc.add(data_seg(1)).has_value());  // lane 0
-  EXPECT_FALSE(enc.add(data_seg(2)).has_value());  // lane 1
-  auto p0 = enc.add(data_seg(3));                  // closes lane 0
-  ASSERT_TRUE(p0.has_value());
-  ASSERT_EQ(p0->fec_members.size(), 2u);
-  EXPECT_EQ(p0->fec_members[0].seq, 1u);
-  EXPECT_EQ(p0->fec_members[1].seq, 3u);  // non-consecutive: burst-tolerant
-  auto p1 = enc.add(data_seg(4));          // closes lane 1
-  ASSERT_TRUE(p1.has_value());
-  EXPECT_EQ(p1->fec_members[0].seq, 2u);
-  EXPECT_NE(p0->fec_group, p1->fec_group);
-}
-
 TEST(FecEncoderTest, FlushClosesPartialGroups) {
-  fec::FecEncoder enc({.group_size = 4, .interleave = 1});
+  fec::FecEncoder enc({.group_size = 4});
   enc.add(data_seg(1));
   enc.add(data_seg(2));
   EXPECT_EQ(enc.open_groups(), 1u);
   auto flushed = enc.flush();
-  ASSERT_EQ(flushed.size(), 1u);
-  EXPECT_EQ(flushed[0].fec_members.size(), 2u);
+  ASSERT_TRUE(flushed.has_value());
+  EXPECT_EQ(flushed->fec_members.size(), 2u);
   EXPECT_EQ(enc.open_groups(), 0u);
-  EXPECT_TRUE(enc.flush().empty());
+  EXPECT_FALSE(enc.flush().has_value());
 }
 
 TEST(FecEncoderTest, RetuneAppliesToNextGroup) {
-  fec::FecEncoder enc({.group_size = 4, .interleave = 1});
+  fec::FecEncoder enc({.group_size = 4});
   enc.add(data_seg(1));
   enc.set_group_size(2);
   // The open group keeps its captured target of 4.
@@ -195,33 +179,6 @@ TEST(RedundancyControllerTest, RetunesCountsOnlyChanges) {
   for (int i = 0; i < 10; ++i) ctrl.on_epoch(epoch_with_loss(0.0));
   EXPECT_EQ(ctrl.retunes(), 0u);
   EXPECT_EQ(ctrl.epochs(), 10u);
-}
-
-// ------------------------------------------------------------ fec policy --
-
-TEST(FecPolicyTest, HysteresisAroundThresholds) {
-  echo::FecPolicy policy({.activate_above = 0.01, .deactivate_below = 0.002});
-  EXPECT_FALSE(policy.active());
-  EXPECT_FALSE(policy.update(0.005));  // between bands: stays off
-  EXPECT_TRUE(policy.update(0.02));    // crosses activate threshold
-  EXPECT_TRUE(policy.active());
-  EXPECT_FALSE(policy.update(0.005));  // between bands: stays on
-  EXPECT_TRUE(policy.update(0.001));   // below deactivate threshold
-  EXPECT_FALSE(policy.active());
-  EXPECT_EQ(policy.activations(), 1u);
-}
-
-TEST(FecPolicyTest, ProtectStampsEvents) {
-  echo::FecPolicy policy({.activate_above = 0.01, .protect_tagged = false});
-  echo::Event tagged{.id = 1, .bytes = 100, .tagged = true};
-  echo::Event untagged{.id = 2, .bytes = 100, .tagged = false};
-  policy.protect(tagged);
-  EXPECT_FALSE(tagged.fec);  // inactive: nothing protected
-  policy.update(0.05);
-  policy.protect(tagged);
-  policy.protect(untagged);
-  EXPECT_FALSE(tagged.fec);  // protect_tagged = false
-  EXPECT_TRUE(untagged.fec);
 }
 
 // -------------------------------------------- transport, scripted losses --

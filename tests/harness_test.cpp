@@ -218,7 +218,6 @@ class ScopedEnv {
 };
 
 TEST(RunnerThreadsTest, EnvOverridePinsPoolWidth) {
-  ScopedEnv serial("IQ_HARNESS_SERIAL", nullptr);
   ScopedEnv env("IQ_HARNESS_THREADS", "3");
   EXPECT_EQ(harness_threads_env(), 3u);
   EXPECT_EQ(runner_threads(8), 3u);
@@ -227,21 +226,19 @@ TEST(RunnerThreadsTest, EnvOverridePinsPoolWidth) {
 }
 
 TEST(RunnerThreadsTest, ExplicitArgumentBeatsEnv) {
-  ScopedEnv serial("IQ_HARNESS_SERIAL", nullptr);
   ScopedEnv env("IQ_HARNESS_THREADS", "3");
   EXPECT_EQ(runner_threads(8, 5), 5u);
 }
 
+// IQ_HARNESS_THREADS=1 is the one serial switch: it beats hardware
+// concurrency for both the runner pool and the city-scale shard count.
 TEST(RunnerThreadsTest, SerialBeatsEverything) {
-  ScopedEnv serial("IQ_HARNESS_SERIAL", "1");
-  ScopedEnv env("IQ_HARNESS_THREADS", "3");
+  ScopedEnv env("IQ_HARNESS_THREADS", "1");
   EXPECT_EQ(runner_threads(8), 1u);
-  EXPECT_EQ(runner_threads(8, 5), 1u);
   EXPECT_EQ(cityscale_shards(), 1u);
 }
 
 TEST(RunnerThreadsTest, InvalidEnvValuesAreUnset) {
-  ScopedEnv serial("IQ_HARNESS_SERIAL", nullptr);
   for (const char* bad : {"0", "-2", "garbage", "", "1025", "3x"}) {
     ScopedEnv env("IQ_HARNESS_THREADS", bad);
     EXPECT_EQ(harness_threads_env(), 0u) << "value=\"" << bad << "\"";

@@ -1,11 +1,10 @@
-// Tests for the simulated network: queues, links, routing, dumbbell, tracing.
+// Tests for the simulated network: queues, links, routing, dumbbell.
 
 #include <gtest/gtest.h>
 
 #include "iq/net/dumbbell.hpp"
 #include "iq/net/network.hpp"
 #include "iq/net/sinks.hpp"
-#include "iq/net/tracer.hpp"
 
 namespace iq::net {
 namespace {
@@ -26,8 +25,8 @@ TEST(DropTailQueueTest, FifoOrder) {
   ASSERT_TRUE(q.enqueue(p1));
   ASSERT_TRUE(q.enqueue(p2));
   EXPECT_EQ(q.bytes(), 300);
-  EXPECT_EQ(q.dequeue()->id, p1->id);
-  EXPECT_EQ(q.dequeue()->id, p2->id);
+  EXPECT_EQ(q.dequeue(), p1);
+  EXPECT_EQ(q.dequeue(), p2);
   EXPECT_TRUE(q.empty());
 }
 
@@ -168,24 +167,22 @@ TEST(NetworkTest, ComputeRoutesForwardsAcrossHops) {
 TEST(NetworkTest, TracerCountsPerFlow) {
   sim::Simulator sim;
   Network net(sim);
-  CountingTracer tracer;
   Node& a = net.add_node("a");
   Node& b = net.add_node("b");
-  net.add_duplex_link(a, b,
-                      {.rate_bps = 10'000'000,
-                       .propagation = Duration::millis(1),
-                       .queue_capacity_bytes = 100'000});
+  Link& ab = net.add_link(a, b,
+                          {.rate_bps = 10'000'000,
+                           .propagation = Duration::millis(1),
+                           .queue_capacity_bytes = 100'000});
   net.compute_routes();
-  net.set_tracer(&tracer);
 
   CountingSink sink;
   b.bind(7, &sink);
   a.send(make_test_packet(net, {a.id(), 7}, {b.id(), 7}, 500, /*flow=*/42));
   a.send(make_test_packet(net, {a.id(), 7}, {b.id(), 7}, 500, /*flow=*/42));
   sim.run();
-  EXPECT_EQ(tracer.flow(42).transmitted, 2u);
-  EXPECT_EQ(tracer.flow(42).delivered, 2u);
-  EXPECT_EQ(tracer.flow(42).dropped, 0u);
+  EXPECT_EQ(ab.transmitted(), 2u);
+  EXPECT_EQ(sink.packets(), 2u);
+  EXPECT_EQ(ab.queue().dropped(), 0u);
 }
 
 // ------------------------------------------------------------- Dumbbell ---
@@ -237,68 +234,6 @@ TEST(DumbbellTest, ReverseBottleneckCarriesAcks) {
   sim.run();
   EXPECT_EQ(sink.packets(), 1u);
   EXPECT_EQ(db.bottleneck_reverse().transmitted(), 1u);
-}
-
-// ------------------------------------------------------------ TextTracer ---
-
-TEST(TextTracerTest, CollectsFormattedLines) {
-  sim::Simulator sim;
-  Network net(sim);
-  TextTracer tracer;
-  Dumbbell db(net, {.pairs = 1});
-  net.set_tracer(&tracer);
-  CountingSink sink;
-  db.right(0).bind(7, &sink);
-  db.left(0).send(net.make_packet({db.left(0).id(), 7},
-                                  {db.right(0).id(), 7}, 3, 500));
-  sim.run();
-  // 3 hops: tx + rx per hop.
-  ASSERT_EQ(tracer.lines().size(), 6u);
-  const std::string& first = tracer.lines().front();
-  EXPECT_NE(first.find(" tx "), std::string::npos);
-  EXPECT_NE(first.find("flow=3"), std::string::npos);
-  EXPECT_NE(first.find("500B"), std::string::npos);
-}
-
-TEST(TextTracerTest, CapacityBoundsLines) {
-  sim::Simulator sim;
-  Network net(sim);
-  TextTracer tracer(/*capacity=*/10);
-  Dumbbell db(net, {.pairs = 1});
-  net.set_tracer(&tracer);
-  CountingSink sink;
-  db.right(0).bind(7, &sink);
-  for (int i = 0; i < 20; ++i) {
-    db.left(0).send(net.make_packet({db.left(0).id(), 7},
-                                    {db.right(0).id(), 7}, 1, 100));
-  }
-  sim.run();
-  EXPECT_EQ(tracer.lines().size(), 10u);
-  EXPECT_GT(tracer.discarded(), 0u);
-}
-
-// Tracers that don't opt into text (the normal case) must not receive
-// formatted lines — the links skip the string work entirely.
-TEST(TextTracerTest, NonTextTracersGetNoLines) {
-  struct Spy final : Tracer {
-    int text_calls = 0;
-    void on_transmit(const Link&, const Packet&) override {}
-    void on_drop(const Link&, const Packet&) override {}
-    void on_deliver(const Link&, const Packet&) override {}
-    void on_text(const Link&, const std::string&) override { ++text_calls; }
-    // wants_text() deliberately left at the default (false).
-  };
-  sim::Simulator sim;
-  Network net(sim);
-  Spy spy;
-  Dumbbell db(net, {.pairs = 1});
-  net.set_tracer(&spy);
-  CountingSink sink;
-  db.right(0).bind(7, &sink);
-  db.left(0).send(net.make_packet({db.left(0).id(), 7},
-                                  {db.right(0).id(), 7}, 1, 500));
-  sim.run();
-  EXPECT_EQ(spy.text_calls, 0);
 }
 
 }  // namespace
